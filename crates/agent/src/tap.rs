@@ -19,6 +19,7 @@ use parking_lot::Mutex;
 use scrub_core::config::{ScrubConfig, WireFormat};
 use scrub_core::error::{ScrubError, ScrubResult};
 use scrub_core::event::{Event, FieldSlot, RequestId, ToEvent};
+use scrub_core::kernel::{TapEvent, TapKernel};
 use scrub_core::plan::{HostPlan, QueryId};
 use scrub_core::schema::EventTypeId;
 use scrub_core::value::Value;
@@ -77,6 +78,8 @@ struct Inner {
 
 struct Subscription {
     plan: HostPlan,
+    /// The plan's predicate compiled for the tap at install.
+    kernel: Option<TapKernel>,
     /// xorshift64 state for per-event sampling.
     rng: u64,
     /// `next_u64 <= threshold` keeps the event.
@@ -124,6 +127,10 @@ impl Subscription {
             cost.event_wire_bytes(plan.projection.len(), format),
         );
         Subscription {
+            kernel: plan
+                .predicate
+                .as_ref()
+                .map(|p| TapKernel::compile(p, plan.arity)),
             plan,
             rng: seed | 1,
             sample_threshold: threshold,
@@ -353,6 +360,14 @@ impl ScrubAgent {
                 *budget_window = (sec, 0.0);
             }
         }
+        let event = TapEvent {
+            values,
+            request_id: request_id.0,
+            timestamp_ms,
+        };
+        // Per-event counters accumulate here and reach the shared atomics
+        // once, before this call returns.
+        let mut n = Tally::default();
         for sub in type_subs.iter_mut() {
             sub.seen += 1;
             // The irreducible per-event cost (active tap + predicate) is
@@ -362,46 +377,27 @@ impl ScrubAgent {
                 budget_window.1 += sub.seen_cost_ns;
             }
             // selection
-            if let Some(pred) = &sub.plan.predicate {
-                self.stats.bump(&self.stats.predicates_evaluated, 1);
-                let arity = sub.plan.arity;
-                let matched = pred.eval_bool_by(&|slot| {
-                    if slot < arity {
-                        values.get(slot).cloned().unwrap_or(Value::Null)
-                    } else if slot == arity {
-                        Value::Long(request_id.0 as i64)
-                    } else {
-                        Value::DateTime(timestamp_ms)
-                    }
-                });
-                if !matched {
+            if let Some(kernel) = &sub.kernel {
+                n.predicates_evaluated += 1;
+                if !kernel.eval(&event) {
                     continue;
                 }
             }
             sub.matched += 1;
-            self.stats.bump(&self.stats.events_matched, 1);
+            n.events_matched += 1;
             if traced {
-                self.record_span(
-                    spans_buffered,
-                    &mut sub.trace,
-                    TraceSpan::new(request_id.0, SpanKind::Emit, timestamp_ms, 0),
-                );
-                self.record_span(
-                    spans_buffered,
-                    &mut sub.trace,
-                    TraceSpan::new(request_id.0, SpanKind::TapSelect, timestamp_ms, 0),
-                );
+                for kind in [SpanKind::Emit, SpanKind::TapSelect] {
+                    let span = TraceSpan::new(request_id.0, kind, timestamp_ms, 0);
+                    self.record_span(spans_buffered, &mut sub.trace, span, &mut n);
+                }
             }
 
             // per-event sampling (accuracy for impact, §3.2)
             if sub.sample_threshold != u64::MAX && sub.next_u64() > sub.sample_threshold {
-                self.stats.bump(&self.stats.events_sampled_out, 1);
+                n.events_sampled_out += 1;
                 if traced {
-                    self.record_span(
-                        spans_buffered,
-                        &mut sub.trace,
-                        TraceSpan::new(request_id.0, SpanKind::SampledOut, timestamp_ms, 0),
-                    );
+                    let span = TraceSpan::new(request_id.0, SpanKind::SampledOut, timestamp_ms, 0);
+                    self.record_span(spans_buffered, &mut sub.trace, span, &mut n);
                 }
                 continue;
             }
@@ -413,13 +409,10 @@ impl ScrubAgent {
             }
             if sub.shed_window.1 >= self.config.agent_events_per_sec_budget {
                 sub.shed += 1;
-                self.stats.bump(&self.stats.events_shed, 1);
+                n.events_shed += 1;
                 if traced {
-                    self.record_span(
-                        spans_buffered,
-                        &mut sub.trace,
-                        TraceSpan::new(request_id.0, SpanKind::Shed, timestamp_ms, 0),
-                    );
+                    let span = TraceSpan::new(request_id.0, SpanKind::Shed, timestamp_ms, 0);
+                    self.record_span(spans_buffered, &mut sub.trace, span, &mut n);
                 }
                 continue;
             }
@@ -433,13 +426,11 @@ impl ScrubAgent {
             if self.enforce_budget {
                 if budget_window.1 + sub.ship_cost_ns > self.budget_ns_per_sec {
                     sub.budget_shed += 1;
-                    self.stats.bump(&self.stats.events_budget_shed, 1);
+                    n.events_budget_shed += 1;
                     if traced {
-                        self.record_span(
-                            spans_buffered,
-                            &mut sub.trace,
-                            TraceSpan::new(request_id.0, SpanKind::BudgetShed, timestamp_ms, 0),
-                        );
+                        let span =
+                            TraceSpan::new(request_id.0, SpanKind::BudgetShed, timestamp_ms, 0);
+                        self.record_span(spans_buffered, &mut sub.trace, span, &mut n);
                     }
                     continue;
                 }
@@ -457,17 +448,13 @@ impl ScrubAgent {
                 };
                 projected.push(v);
             }
-            self.stats
-                .bump(&self.stats.fields_projected, projected.len() as u64);
+            n.fields_projected += projected.len() as u64;
             sub.batch
                 .push(Event::new(type_id, request_id, timestamp_ms, projected));
-            self.stats.bump(&self.stats.events_shipped, 1);
+            n.events_shipped += 1;
             if traced {
-                self.record_span(
-                    spans_buffered,
-                    &mut sub.trace,
-                    TraceSpan::new(request_id.0, SpanKind::Enqueue, timestamp_ms, 0),
-                );
+                let span = TraceSpan::new(request_id.0, SpanKind::Enqueue, timestamp_ms, 0);
+                self.record_span(spans_buffered, &mut sub.trace, span, &mut n);
             }
 
             // size-triggered flush
@@ -475,25 +462,31 @@ impl ScrubAgent {
                 if let Some(b) = make_batch(&self.host, sub, timestamp_ms, self.config.wire_format)
                 {
                     *spans_buffered -= b.spans.len();
-                    self.stats
-                        .bump(&self.stats.bytes_shipped, b.approx_bytes() as u64);
-                    self.stats.bump(&self.stats.batches_flushed, 1);
+                    n.bytes_shipped += b.approx_bytes() as u64;
+                    n.batches_flushed += 1;
                     outbox.push(b);
                 }
             }
         }
+        n.publish(&self.stats);
     }
 
     /// Buffer one trace span, honoring the hard per-host span budget:
     /// over budget the span is dropped and counted, never allocated — the
     /// host-impact contract holds no matter the trace rate.
-    fn record_span(&self, spans_buffered: &mut usize, buf: &mut Vec<TraceSpan>, span: TraceSpan) {
+    fn record_span(
+        &self,
+        spans_buffered: &mut usize,
+        buf: &mut Vec<TraceSpan>,
+        span: TraceSpan,
+        n: &mut Tally,
+    ) {
         if *spans_buffered >= self.config.trace_span_budget {
-            self.stats.bump(&self.stats.trace_spans_shed, 1);
+            n.trace_spans_shed += 1;
             return;
         }
         *spans_buffered += 1;
-        self.stats.bump(&self.stats.trace_spans, 1);
+        n.trace_spans += 1;
         buf.push(span);
     }
 
@@ -523,6 +516,45 @@ impl ScrubAgent {
             }
         }
         out
+    }
+}
+
+/// The [`AgentStats`] counters one `log` call moves, counted locally so
+/// each shared atomic is bumped at most once per call.
+#[derive(Default)]
+struct Tally {
+    predicates_evaluated: u64,
+    events_matched: u64,
+    events_sampled_out: u64,
+    events_shed: u64,
+    events_budget_shed: u64,
+    events_shipped: u64,
+    fields_projected: u64,
+    bytes_shipped: u64,
+    batches_flushed: u64,
+    trace_spans: u64,
+    trace_spans_shed: u64,
+}
+
+impl Tally {
+    fn publish(&self, stats: &AgentStats) {
+        for (counter, n) in [
+            (&stats.predicates_evaluated, self.predicates_evaluated),
+            (&stats.events_matched, self.events_matched),
+            (&stats.events_sampled_out, self.events_sampled_out),
+            (&stats.events_shed, self.events_shed),
+            (&stats.events_budget_shed, self.events_budget_shed),
+            (&stats.events_shipped, self.events_shipped),
+            (&stats.fields_projected, self.fields_projected),
+            (&stats.bytes_shipped, self.bytes_shipped),
+            (&stats.batches_flushed, self.batches_flushed),
+            (&stats.trace_spans, self.trace_spans),
+            (&stats.trace_spans_shed, self.trace_spans_shed),
+        ] {
+            if n > 0 {
+                stats.bump(counter, n);
+            }
+        }
     }
 }
 
@@ -576,6 +608,7 @@ fn fxhash(bytes: &[u8]) -> u64 {
 #[allow(clippy::field_reassign_with_default)]
 mod tests {
     use super::*;
+    use crate::stats::StatsSnapshot;
     use scrub_core::plan::compile;
     use scrub_core::ql::parser::parse_query;
     use scrub_core::schema::{EventSchema, FieldDef, FieldType, SchemaRegistry};
@@ -960,6 +993,93 @@ mod tests {
         let b = run("completely-different-host");
         assert_eq!(a, b, "trace pick depends only on the request id");
         assert!(!a.is_empty() && a.len() < 200);
+    }
+
+    /// What the per-event counters must read after each `log` call,
+    /// derived from the subscriptions' own counters rather than from
+    /// the shared atomics.
+    fn expected_snapshot(a: &ScrubAgent, calls: u64) -> StatsSnapshot {
+        let inner = a.inner.lock();
+        let subs: Vec<&Subscription> = inner.subs.iter().flatten().collect();
+        let sum = |f: &dyn Fn(&Subscription) -> u64| subs.iter().map(|s| f(s)).sum::<u64>();
+        let matched = sum(&|s| s.matched);
+        let shipped = sum(&|s| s.sampled);
+        let shed = sum(&|s| s.shed);
+        let budget_shed = sum(&|s| s.budget_shed);
+        // flushed spans leave the buffer count and ride outbox batches
+        let flushed_spans: usize = inner.outbox.iter().map(|b| b.spans.len()).sum();
+        let trace_spans = (inner.spans_buffered + flushed_spans) as u64;
+        StatsSnapshot {
+            events_seen: calls,
+            events_active: calls,
+            predicates_evaluated: sum(&|s| if s.kernel.is_some() { s.seen } else { 0 }),
+            events_matched: matched,
+            events_sampled_out: matched - shipped - shed - budget_shed,
+            events_shed: shed,
+            events_budget_shed: budget_shed,
+            events_shipped: shipped,
+            fields_projected: sum(&|s| s.sampled * s.plan.projection.len() as u64),
+            bytes_shipped: sum(&|s| s.bytes),
+            batches_flushed: inner.outbox.len() as u64,
+            trace_spans,
+            // every matched event attempts exactly three spans: emit,
+            // tap-select and the one recording its fate
+            trace_spans_shed: 3 * matched - trace_spans,
+            ..StatsSnapshot::default()
+        }
+    }
+
+    #[test]
+    fn counters_equal_their_per_event_values_after_every_log() {
+        let mut cfg = ScrubConfig::default();
+        cfg.agent_events_per_sec_budget = 40;
+        cfg.agent_batch_events = 7;
+        cfg.trace_sample_rate = 1.0;
+        cfg.trace_span_budget = 150;
+        cfg.enforce_host_budget = true;
+        // 20 µs of modeled work per second: spent within each second
+        cfg.host_cpu_budget = 2e-5;
+        let a = ScrubAgent::new("h1", cfg);
+        for (qid, src) in [
+            "select COUNT(*) from bid",
+            "select bid.user_id from bid where bid.bid_price > 1.0 sample events 50%",
+            "select bid.user_id, bid.bid_price from bid \
+             where bid.user_id = 3 or bid.bid_price < 0.5",
+            "select COUNT(*) from bid where bid.user_id in (1, 2, 3) sample events 30%",
+        ]
+        .into_iter()
+        .enumerate()
+        {
+            a.install(plan_for(src, qid as u64 + 1)).unwrap();
+        }
+        let tid = EventTypeId(0);
+        let mut calls = 0;
+        // four seconds of 90 events each: every second hits the load-shed
+        // cap and the CPU budget, and the sampled queries drop some
+        for i in 0..360u64 {
+            let vals = [
+                Value::Long((i % 5) as i64),
+                Value::Double((i % 7) as f64 * 0.4),
+            ];
+            a.log(tid, RequestId(i), (i / 90 * 1000 + i % 90) as i64, &vals);
+            calls += 1;
+            assert_eq!(
+                a.stats().snapshot(),
+                expected_snapshot(&a, calls),
+                "after event {i}"
+            );
+        }
+        let s = a.stats().snapshot();
+        for (name, n) in [
+            ("sampled out", s.events_sampled_out),
+            ("shed", s.events_shed),
+            ("budget shed", s.events_budget_shed),
+            ("shipped", s.events_shipped),
+            ("batches", s.batches_flushed),
+            ("spans shed", s.trace_spans_shed),
+        ] {
+            assert!(n > 0, "no {name} events: the mix does not cover every path");
+        }
     }
 
     #[test]

@@ -7,6 +7,7 @@
 use scrub_agent::{BatchPayload, EventBatch};
 use scrub_central::{QueryExecutor, QuerySummary, ResultRow};
 use scrub_core::event::Event;
+use scrub_core::kernel::TapEvent;
 use scrub_core::plan::{CompiledQuery, HostPlan};
 use scrub_core::value::Value;
 
@@ -59,18 +60,15 @@ fn row_key(r: &ResultRow) -> Vec<scrub_core::value::GroupKey> {
 
 /// Apply one host plan (selection + projection, no sampling) to an event.
 pub fn apply_host_plan(plan: &HostPlan, ev: &Event) -> Option<Event> {
+    // the generic evaluator, never the host tap's compiled kernel: the
+    // baseline is the reference the kernel is checked against
     if let Some(pred) = &plan.predicate {
-        let arity = plan.arity;
-        let ok = pred.eval_bool_by(&|slot| {
-            if slot < arity {
-                ev.values.get(slot).cloned().unwrap_or(Value::Null)
-            } else if slot == arity {
-                Value::Long(ev.request_id.0 as i64)
-            } else {
-                Value::DateTime(ev.timestamp)
-            }
-        });
-        if !ok {
+        let tap = TapEvent {
+            values: &ev.values,
+            request_id: ev.request_id.0,
+            timestamp_ms: ev.timestamp,
+        };
+        if !pred.eval_bool(&|slot| tap.slot(plan.arity, slot)) {
             return None;
         }
     }

@@ -29,6 +29,21 @@ fn registry() -> SchemaRegistry {
         .unwrap(),
     )
     .unwrap();
+    // a second type (id 1) for the needle-style benches: integer and
+    // string fields plus the list field `contains` searches
+    reg.register(
+        EventSchema::new(
+            "auction",
+            vec![
+                FieldDef::new("user_id", FieldType::Long),
+                FieldDef::new("line_item_id", FieldType::Long),
+                FieldDef::new("country", FieldType::Str),
+                FieldDef::new("line_item_ids", FieldType::List(Box::new(FieldType::Long))),
+            ],
+        )
+        .unwrap(),
+    )
+    .unwrap();
     reg
 }
 
@@ -56,6 +71,17 @@ fn values() -> Vec<Value> {
         Value::Long(2),
         Value::Double(0.97),
         Value::Str("us".into()),
+    ]
+}
+
+/// An `auction` tuple: an eight-entry line-item list, as the ad
+/// server's auctions carry.
+fn auction_values() -> Vec<Value> {
+    vec![
+        Value::Long(123_456),
+        Value::Long(1011),
+        Value::Str("us".into()),
+        Value::List((1000..1008).map(Value::Long).collect()),
     ]
 }
 
@@ -157,6 +183,41 @@ fn bench_tap(c: &mut Criterion) {
             },
             BatchSize::SmallInput,
         )
+    });
+
+    // list membership that scans the whole list and finds nothing
+    let auction = auction_values();
+    let contains =
+        agent_with(&["select COUNT(*) from auction where contains(auction.line_item_ids, 2010)"]);
+    g.bench_function("active_contains_list_no_match", |b| {
+        let mut i = 0u64;
+        b.iter(|| {
+            i += 1;
+            contains.log(EventTypeId(1), RequestId(i), i as i64, &auction);
+        })
+    });
+
+    // the selective needle mix: ten queries on one type, none matching —
+    // integer equality, a string-equality conjunction and list contains
+    let needle_queries = [
+        "select COUNT(*) from auction where auction.user_id = 10000000",
+        "select COUNT(*) from auction where auction.user_id = 10000001",
+        "select COUNT(*) from auction where auction.user_id = 10000002",
+        "select COUNT(*) from auction where auction.user_id = 10000003",
+        "select COUNT(*) from auction where auction.line_item_id = 2020 and auction.country = 'de'",
+        "select COUNT(*) from auction where auction.line_item_id = 1011 and auction.country = 'de'",
+        "select COUNT(*) from auction where auction.line_item_id = 2022 and auction.country = 'us'",
+        "select COUNT(*) from auction where contains(auction.line_item_ids, 2010)",
+        "select COUNT(*) from auction where contains(auction.line_item_ids, 2011)",
+        "select COUNT(*) from auction where contains(auction.line_item_ids, 2012)",
+    ];
+    let needle = agent_with(&needle_queries);
+    g.bench_function("active_needle_10_queries", |b| {
+        let mut i = 0u64;
+        b.iter(|| {
+            i += 1;
+            needle.log(EventTypeId(1), RequestId(i), i as i64, &auction);
+        })
     });
 
     g.finish();

@@ -12,7 +12,7 @@
 use std::collections::HashMap;
 use std::time::Instant;
 
-use scrub_core::expr::{BinOp, Expr, FieldRef, ResolvedExpr, SlotBinder};
+use scrub_core::expr::{row_slots, BinOp, Expr, FieldRef, ResolvedExpr, SlotBinder};
 use scrub_core::plan::AggSpec;
 use scrub_core::ql::ast::AggFn;
 use scrub_core::value::{GroupKey, Value};
@@ -52,7 +52,7 @@ fn measure_select_project(iters: u64) -> f64 {
     let start = Instant::now();
     for i in 0..iters {
         let row = &data[(i % 8192) as usize];
-        if pred.eval_bool(row) {
+        if pred.eval_bool(&row_slots(row)) {
             std::hint::black_box(row[0].clone());
         }
     }
@@ -80,7 +80,7 @@ fn measure_pushdown(iters: u64, cardinality: u64) -> (f64, usize, u64) {
         // spread accesses across the whole key space, not just 8192 rows
         let key_val = (i.wrapping_mul(0x2545_F491_4F6C_DD1D)) % cardinality;
         let row = &data[(i % 8192) as usize];
-        if pred.eval_bool(row) {
+        if pred.eval_bool(&row_slots(row)) {
             let key = Value::Long(key_val as i64).group_key();
             let states = groups
                 .entry(key)

@@ -4,6 +4,7 @@
 //! Hosts only selected/projected/sampled; everything here is the expensive
 //! part of the query, deliberately placed off the application hosts.
 
+use std::borrow::Cow;
 use std::collections::{BTreeMap, HashMap};
 use std::sync::Arc;
 use std::time::Instant;
@@ -11,7 +12,7 @@ use std::time::Instant;
 use scrub_agent::{BatchPayload, EventBatch};
 use scrub_core::columnar::{ColumnChunk, ColumnarFrame};
 use scrub_core::event::Event;
-use scrub_core::expr::ResolvedExpr;
+use scrub_core::expr::{row_slots, ResolvedExpr};
 use scrub_core::plan::{CentralPlan, OperatorKind, OutputCol, OutputMode};
 use scrub_core::value::{GroupKey, Value};
 use scrub_obs::{OperatorStats, PlanProfile};
@@ -472,8 +473,8 @@ impl QueryExecutor {
         // then the request-id and timestamp slots; out-of-block slots and
         // short chunks (arity < plan fields) read Null, extra trailing
         // columns are ignored — exactly the row builder's semantics.
-        let col_fetch = |i: usize, slot: usize| -> Value {
-            if slot >= off && slot < rid_slot {
+        let col_fetch = |i: usize, slot: usize| -> Cow<'static, Value> {
+            Cow::Owned(if slot >= off && slot < rid_slot {
                 match chunk.columns.get(slot - off) {
                     Some(col) => col.value_at(i),
                     None => Value::Null,
@@ -484,7 +485,7 @@ impl QueryExecutor {
                 Value::DateTime(chunk.timestamps[i])
             } else {
                 Value::Null
-            }
+            })
         };
         let OutputMode::Aggregate {
             group_by,
@@ -506,7 +507,7 @@ impl QueryExecutor {
                 let fetch = |slot: usize| col_fetch(i, slot);
                 for (j, agg) in aggregates.iter().enumerate() {
                     let v = match &agg.arg {
-                        Some(a) => a.eval_by(&fetch).as_f64(),
+                        Some(a) => a.eval(&fetch).as_f64(),
                         None => Some(1.0), // COUNT(*)
                     };
                     if let Some(x) = v {
@@ -540,7 +541,7 @@ impl QueryExecutor {
             sel.retain(|&(i, _, _)| {
                 self.opc.residual_rows_in += 1;
                 let fetch = |slot: usize| col_fetch(i as usize, slot);
-                let pass = res.eval_bool_by(&fetch);
+                let pass = res.eval_bool(&fetch);
                 if pass {
                     self.opc.residual_rows_out += 1;
                 }
@@ -572,7 +573,7 @@ impl QueryExecutor {
                     cap,
                     group_by,
                     aggregates,
-                    &|e| e.eval_by(&fetch),
+                    &|e| e.eval(&fetch).into_owned(),
                     &mut scratch.keys,
                     &mut scratch.key_vals,
                 );
@@ -599,7 +600,7 @@ impl QueryExecutor {
             .or_insert_with(|| vec![Welford::new(); aggregates.len()]);
         for (i, agg) in aggregates.iter().enumerate() {
             let v = match &agg.arg {
-                Some(a) => a.eval(row).as_f64(),
+                Some(a) => a.eval(&row_slots(row)).as_f64(),
                 None => Some(1.0), // COUNT(*)
             };
             if let Some(x) = v {
@@ -685,7 +686,7 @@ impl QueryExecutor {
                 self.opc.stream_rows_in += 1;
                 if let Some(res) = &plan.residual {
                     self.opc.residual_rows_in += 1;
-                    let pass = res.eval_bool(&scratch.row);
+                    let pass = res.eval_bool(&row_slots(&scratch.row));
                     self.opc.residual_ns += t0.elapsed().as_nanos() as u64;
                     if !pass {
                         return;
@@ -693,7 +694,9 @@ impl QueryExecutor {
                     self.opc.residual_rows_out += 1;
                 }
                 let t1 = Instant::now();
-                let values: Vec<Value> = exprs.iter().map(|e| e.eval(&scratch.row)).collect();
+                let slots = row_slots(&scratch.row);
+                let values: Vec<Value> =
+                    exprs.iter().map(|e| e.eval(&slots).into_owned()).collect();
                 self.stream_out.push(ResultRow {
                     query_id: plan.query_id,
                     window_start_ms: *covered.last().expect("checked non-empty"),
@@ -711,7 +714,7 @@ impl QueryExecutor {
                 self.build_row_into(&mut scratch.row, &ev, input_idx);
                 if let Some(res) = &plan.residual {
                     self.opc.residual_rows_in += 1;
-                    let pass = res.eval_bool(&scratch.row);
+                    let pass = res.eval_bool(&row_slots(&scratch.row));
                     self.opc.residual_ns += t0.elapsed().as_nanos() as u64;
                     if !pass {
                         return;
@@ -848,7 +851,7 @@ impl QueryExecutor {
                             Some(r) => {
                                 let t_res = Instant::now();
                                 self.opc.residual_rows_in += 1;
-                                let ok = r.eval_bool(&row);
+                                let ok = r.eval_bool(&row_slots(&row));
                                 res_ns += t_res.elapsed().as_nanos() as u64;
                                 if ok {
                                     self.opc.residual_rows_out += 1;
@@ -860,8 +863,10 @@ impl QueryExecutor {
                         if passes {
                             let t_fold = Instant::now();
                             if let Some(exprs) = stream {
-                                let values: Vec<Value> =
-                                    exprs.iter().map(|e| e.eval(&row)).collect();
+                                let values: Vec<Value> = exprs
+                                    .iter()
+                                    .map(|e| e.eval(&row_slots(&row)).into_owned())
+                                    .collect();
                                 stream_rows.push(ResultRow {
                                     query_id: self.plan.query_id,
                                     window_start_ms: w,
@@ -1133,7 +1138,7 @@ fn update_groups(
         cap,
         group_by,
         aggregates,
-        &|e| e.eval(row),
+        &|e| e.eval(&row_slots(row)).into_owned(),
         keys,
         key_vals,
     )

@@ -9,6 +9,9 @@
 //!   slots against a single event's tuple; ScrubCentral binds them against a
 //!   joined row. The hot evaluation path therefore never looks up strings.
 
+use std::borrow::Cow;
+use std::cmp::Ordering;
+
 use serde::{Deserialize, Serialize};
 
 use crate::error::{ScrubError, ScrubResult};
@@ -85,6 +88,30 @@ impl BinOp {
             self,
             BinOp::Add | BinOp::Sub | BinOp::Mul | BinOp::Div | BinOp::Mod
         )
+    }
+
+    /// Does a comparison operator hold for `lhs.cmp(rhs) == ord`?
+    pub fn holds(self, ord: Ordering) -> bool {
+        match self {
+            BinOp::Eq => ord == Ordering::Equal,
+            BinOp::Ne => ord != Ordering::Equal,
+            BinOp::Lt => ord == Ordering::Less,
+            BinOp::Le => ord != Ordering::Greater,
+            BinOp::Gt => ord == Ordering::Greater,
+            BinOp::Ge => ord != Ordering::Less,
+            _ => unreachable!("{self:?} is not a comparison"),
+        }
+    }
+
+    /// The operator with its operands swapped: `a < b` is `b > a`.
+    pub fn flipped(self) -> BinOp {
+        match self {
+            BinOp::Lt => BinOp::Gt,
+            BinOp::Le => BinOp::Ge,
+            BinOp::Gt => BinOp::Lt,
+            BinOp::Ge => BinOp::Le,
+            op => op,
+        }
     }
 
     /// Source-level spelling.
@@ -494,154 +521,84 @@ pub enum ResolvedExpr {
 }
 
 impl ResolvedExpr {
-    /// Evaluate against a row of input values.
+    /// Evaluate with a slot accessor that lends the input values.
+    ///
+    /// This is the one generic evaluator: a materialised row plugs in
+    /// [`row_slots`], ScrubCentral's columnar ingest a column accessor,
+    /// and the host tap's kernel fallback the event's own fields. Slots
+    /// and literals are borrowed, never cloned; only operators that build
+    /// a new value produce an owned result.
     ///
     /// Nulls propagate through arithmetic and comparisons (SQL-ish
     /// three-valued logic collapsed to two values: a comparison involving
     /// NULL is false; `AND`/`OR` treat NULL operands as false).
-    pub fn eval(&self, row: &[Value]) -> Value {
-        match self {
-            ResolvedExpr::Literal(v) => v.clone(),
-            ResolvedExpr::Input(i) => row.get(*i).cloned().unwrap_or(Value::Null),
+    pub fn eval<'a, 'v: 'a, F>(&'a self, fetch: &F) -> Cow<'a, Value>
+    where
+        F: Fn(usize) -> Cow<'v, Value>,
+    {
+        let v = match self {
+            ResolvedExpr::Literal(v) => return Cow::Borrowed(v),
+            ResolvedExpr::Input(i) => return fetch(*i),
             ResolvedExpr::Unary { op, expr } => {
-                let v = expr.eval(row);
+                let v = expr.eval(fetch);
                 match op {
-                    UnaryOp::Not => match v.as_bool() {
-                        Some(b) => Value::Bool(!b),
-                        None => Value::Bool(false),
-                    },
-                    UnaryOp::Neg => match v {
-                        Value::Int(x) => Value::Int(-x),
-                        Value::Long(x) => Value::Long(-x),
+                    UnaryOp::Not => Value::Bool(v.as_bool() == Some(false)),
+                    UnaryOp::Neg => match *v {
+                        Value::Int(x) => Value::Int(x.wrapping_neg()),
+                        Value::Long(x) => Value::Long(x.wrapping_neg()),
                         Value::Float(x) => Value::Float(-x),
                         Value::Double(x) => Value::Double(-x),
                         _ => Value::Null,
                     },
                 }
             }
+            // short-circuit: the right side is not evaluated once the left
+            // decides the result
+            ResolvedExpr::Binary {
+                op: BinOp::And,
+                lhs,
+                rhs,
+            } => Value::Bool(lhs.eval_bool(fetch) && rhs.eval_bool(fetch)),
+            ResolvedExpr::Binary {
+                op: BinOp::Or,
+                lhs,
+                rhs,
+            } => Value::Bool(lhs.eval_bool(fetch) || rhs.eval_bool(fetch)),
             ResolvedExpr::Binary { op, lhs, rhs } => {
-                let l = lhs.eval(row);
-                match op {
-                    BinOp::And => {
-                        // short-circuit
-                        if l.as_bool() != Some(true) {
-                            return Value::Bool(false);
-                        }
-                        Value::Bool(rhs.eval(row).as_bool() == Some(true))
-                    }
-                    BinOp::Or => {
-                        if l.as_bool() == Some(true) {
-                            return Value::Bool(true);
-                        }
-                        Value::Bool(rhs.eval(row).as_bool() == Some(true))
-                    }
-                    _ => {
-                        let r = rhs.eval(row);
-                        eval_binop(*op, &l, &r)
-                    }
-                }
+                eval_binop(*op, &lhs.eval(fetch), &rhs.eval(fetch))
             }
             ResolvedExpr::Call { func, args } => {
-                let vs: Vec<Value> = args.iter().map(|a| a.eval(row)).collect();
-                eval_fn(*func, &vs)
+                let arg = |i: usize| args.get(i).map(|a| a.eval(fetch));
+                eval_fn(*func, arg(0).as_deref(), arg(1).as_deref())
             }
             ResolvedExpr::InList {
                 expr,
                 list,
                 negated,
             } => {
-                let v = expr.eval(row);
-                if v.is_null() {
-                    return Value::Bool(false);
-                }
-                let found = list.iter().any(|x| x.loose_eq(&v));
-                Value::Bool(found != *negated)
+                let v = expr.eval(fetch);
+                Value::Bool(!v.is_null() && list.iter().any(|x| x.loose_eq(&v)) != *negated)
             }
             ResolvedExpr::IsNull { expr, negated } => {
-                let v = expr.eval(row);
-                Value::Bool(v.is_null() != *negated)
+                Value::Bool(expr.eval(fetch).is_null() != *negated)
             }
-        }
+        };
+        Cow::Owned(v)
     }
 
     /// Evaluate as a predicate: true iff the expression evaluates to
     /// `Bool(true)`.
-    pub fn eval_bool(&self, row: &[Value]) -> bool {
-        self.eval(row).as_bool() == Some(true)
+    pub fn eval_bool<'v, F>(&self, fetch: &F) -> bool
+    where
+        F: Fn(usize) -> Cow<'v, Value>,
+    {
+        self.eval(fetch).as_bool() == Some(true)
     }
 
-    /// Evaluate with a slot accessor instead of a materialized row.
-    ///
-    /// The host-side hot path uses this to avoid cloning a full event tuple
-    /// per predicate evaluation — only the slots the expression actually
-    /// references are fetched.
-    pub fn eval_by(&self, fetch: &dyn Fn(usize) -> Value) -> Value {
-        match self {
-            ResolvedExpr::Literal(v) => v.clone(),
-            ResolvedExpr::Input(i) => fetch(*i),
-            ResolvedExpr::Unary { op, expr } => {
-                let v = expr.eval_by(fetch);
-                match op {
-                    UnaryOp::Not => match v.as_bool() {
-                        Some(b) => Value::Bool(!b),
-                        None => Value::Bool(false),
-                    },
-                    UnaryOp::Neg => match v {
-                        Value::Int(x) => Value::Int(-x),
-                        Value::Long(x) => Value::Long(-x),
-                        Value::Float(x) => Value::Float(-x),
-                        Value::Double(x) => Value::Double(-x),
-                        _ => Value::Null,
-                    },
-                }
-            }
-            ResolvedExpr::Binary { op, lhs, rhs } => {
-                let l = lhs.eval_by(fetch);
-                match op {
-                    BinOp::And => {
-                        if l.as_bool() != Some(true) {
-                            return Value::Bool(false);
-                        }
-                        Value::Bool(rhs.eval_by(fetch).as_bool() == Some(true))
-                    }
-                    BinOp::Or => {
-                        if l.as_bool() == Some(true) {
-                            return Value::Bool(true);
-                        }
-                        Value::Bool(rhs.eval_by(fetch).as_bool() == Some(true))
-                    }
-                    _ => {
-                        let r = rhs.eval_by(fetch);
-                        eval_binop(*op, &l, &r)
-                    }
-                }
-            }
-            ResolvedExpr::Call { func, args } => {
-                let vs: Vec<Value> = args.iter().map(|a| a.eval_by(fetch)).collect();
-                eval_fn(*func, &vs)
-            }
-            ResolvedExpr::InList {
-                expr,
-                list,
-                negated,
-            } => {
-                let v = expr.eval_by(fetch);
-                if v.is_null() {
-                    return Value::Bool(false);
-                }
-                let found = list.iter().any(|x| x.loose_eq(&v));
-                Value::Bool(found != *negated)
-            }
-            ResolvedExpr::IsNull { expr, negated } => {
-                let v = expr.eval_by(fetch);
-                Value::Bool(v.is_null() != *negated)
-            }
-        }
-    }
-
-    /// Predicate form of [`ResolvedExpr::eval_by`].
+    /// [`ResolvedExpr::eval_bool`] over an accessor that builds each slot
+    /// value on demand and hands it over.
     pub fn eval_bool_by(&self, fetch: &dyn Fn(usize) -> Value) -> bool {
-        self.eval_by(fetch).as_bool() == Some(true)
+        self.eval_bool(&|i| Cow::Owned(fetch(i)))
     }
 
     /// Highest input slot referenced, if any (used for sanity checks).
@@ -672,24 +629,11 @@ fn eval_binop(op: BinOp, l: &Value, r: &Value) -> Value {
         }
         // String comparisons compare strings; everything else numeric where
         // possible, falling back to total order.
-        let ord = l.total_cmp(r);
         let eq_comparable = match (l, r) {
             (Value::Str(_), Value::Str(_)) => true,
             _ => l.as_f64().is_some() && r.as_f64().is_some() || l.type_name() == r.type_name(),
         };
-        if !eq_comparable {
-            return Value::Bool(false);
-        }
-        let b = match op {
-            BinOp::Eq => ord == std::cmp::Ordering::Equal,
-            BinOp::Ne => ord != std::cmp::Ordering::Equal,
-            BinOp::Lt => ord == std::cmp::Ordering::Less,
-            BinOp::Le => ord != std::cmp::Ordering::Greater,
-            BinOp::Gt => ord == std::cmp::Ordering::Greater,
-            BinOp::Ge => ord != std::cmp::Ordering::Less,
-            _ => unreachable!(),
-        };
-        return Value::Bool(b);
+        return Value::Bool(eq_comparable && op.holds(l.total_cmp(r)));
     }
     // arithmetic
     let (Some(a), Some(b)) = (l.as_f64(), r.as_f64()) else {
@@ -705,14 +649,14 @@ fn eval_binop(op: BinOp, l: &Value, r: &Value) -> Value {
                 return if y == 0 {
                     Value::Null
                 } else {
-                    Value::Long(x / y)
+                    Value::Long(x.wrapping_div(y))
                 };
             }
             BinOp::Mod => {
                 return if y == 0 {
                     Value::Null
                 } else {
-                    Value::Long(x % y)
+                    Value::Long(x.wrapping_rem(y))
                 };
             }
             _ => {}
@@ -738,57 +682,58 @@ fn eval_binop(op: BinOp, l: &Value, r: &Value) -> Value {
     })
 }
 
-fn eval_fn(func: ScalarFn, args: &[Value]) -> Value {
-    let num = |i: usize| args.get(i).and_then(Value::as_f64);
+fn eval_fn(func: ScalarFn, a: Option<&Value>, b: Option<&Value>) -> Value {
+    let num = a.and_then(Value::as_f64);
     match func {
-        ScalarFn::Abs => num(0)
-            .map(|x| Value::Double(x.abs()))
-            .unwrap_or(Value::Null),
-        ScalarFn::Log => num(0)
+        ScalarFn::Abs => num.map(|x| Value::Double(x.abs())).unwrap_or(Value::Null),
+        ScalarFn::Log => num
             .filter(|x| *x > 0.0)
             .map(|x| Value::Double(x.ln()))
             .unwrap_or(Value::Null),
-        ScalarFn::Log10 => num(0)
+        ScalarFn::Log10 => num
             .filter(|x| *x > 0.0)
             .map(|x| Value::Double(x.log10()))
             .unwrap_or(Value::Null),
-        ScalarFn::Sqrt => num(0)
+        ScalarFn::Sqrt => num
             .filter(|x| *x >= 0.0)
             .map(|x| Value::Double(x.sqrt()))
             .unwrap_or(Value::Null),
-        ScalarFn::Floor => num(0)
-            .map(|x| Value::Double(x.floor()))
-            .unwrap_or(Value::Null),
-        ScalarFn::Ceil => num(0)
-            .map(|x| Value::Double(x.ceil()))
-            .unwrap_or(Value::Null),
-        ScalarFn::Lower => match args.first() {
+        ScalarFn::Floor => num.map(|x| Value::Double(x.floor())).unwrap_or(Value::Null),
+        ScalarFn::Ceil => num.map(|x| Value::Double(x.ceil())).unwrap_or(Value::Null),
+        ScalarFn::Lower => match a {
             Some(Value::Str(s)) => Value::Str(s.to_lowercase()),
             _ => Value::Null,
         },
-        ScalarFn::Upper => match args.first() {
+        ScalarFn::Upper => match a {
             Some(Value::Str(s)) => Value::Str(s.to_uppercase()),
             _ => Value::Null,
         },
-        ScalarFn::Length => match args.first() {
+        ScalarFn::Length => match a {
             Some(Value::Str(s)) => Value::Long(s.chars().count() as i64),
             Some(Value::List(vs)) => Value::Long(vs.len() as i64),
             _ => Value::Null,
         },
-        ScalarFn::Contains => match (args.first(), args.get(1)) {
+        ScalarFn::Contains => match (a, b) {
             (Some(Value::Str(h)), Some(Value::Str(n))) => Value::Bool(h.contains(n.as_str())),
             (Some(Value::List(vs)), Some(v)) => Value::Bool(vs.iter().any(|x| x.loose_eq(v))),
             _ => Value::Bool(false),
         },
-        ScalarFn::StartsWith => match (args.first(), args.get(1)) {
+        ScalarFn::StartsWith => match (a, b) {
             (Some(Value::Str(h)), Some(Value::Str(n))) => Value::Bool(h.starts_with(n.as_str())),
             _ => Value::Bool(false),
         },
-        ScalarFn::EndsWith => match (args.first(), args.get(1)) {
+        ScalarFn::EndsWith => match (a, b) {
             (Some(Value::Str(h)), Some(Value::Str(n))) => Value::Bool(h.ends_with(n.as_str())),
             _ => Value::Bool(false),
         },
     }
+}
+
+/// Slot accessor over a materialised row for [`ResolvedExpr::eval`]:
+/// slots past the row's end read NULL.
+pub fn row_slots<'r>(row: &'r [Value]) -> impl Fn(usize) -> Cow<'r, Value> + 'r {
+    static NULL: Value = Value::Null;
+    move |i| Cow::Borrowed(row.get(i).unwrap_or(&NULL))
 }
 
 /// A [`Binder`] over a flat list of named slots; the common case for tests
@@ -870,36 +815,39 @@ mod tests {
         e.resolve(&b).unwrap()
     }
 
+    /// Value of a field-free expression.
+    fn eval_const(e: &Expr) -> Value {
+        resolve_simple(e, &[]).eval(&row_slots(&[])).into_owned()
+    }
+
     #[test]
     fn arithmetic_integer_exactness() {
         let e = bin(BinOp::Mul, lit(1000i64), lit(3i64));
-        let r = resolve_simple(&e, &[]);
-        assert_eq!(r.eval(&[]), Value::Long(3000));
+        assert_eq!(eval_const(&e), Value::Long(3000));
     }
 
     #[test]
     fn arithmetic_mixed_promotes_to_double() {
         let e = bin(BinOp::Add, lit(1i64), lit(0.5f64));
-        let r = resolve_simple(&e, &[]);
-        assert_eq!(r.eval(&[]), Value::Double(1.5));
+        assert_eq!(eval_const(&e), Value::Double(1.5));
     }
 
     #[test]
     fn division_by_zero_is_null() {
         let e = bin(BinOp::Div, lit(1i64), lit(0i64));
-        assert_eq!(resolve_simple(&e, &[]).eval(&[]), Value::Null);
+        assert_eq!(eval_const(&e), Value::Null);
         let e = bin(BinOp::Div, lit(1.0f64), lit(0.0f64));
-        assert_eq!(resolve_simple(&e, &[]).eval(&[]), Value::Null);
+        assert_eq!(eval_const(&e), Value::Null);
         let e = bin(BinOp::Mod, lit(1i64), lit(0i64));
-        assert_eq!(resolve_simple(&e, &[]).eval(&[]), Value::Null);
+        assert_eq!(eval_const(&e), Value::Null);
     }
 
     #[test]
     fn comparisons_across_numeric_widths() {
         let e = bin(BinOp::Eq, lit(5i32), lit(5i64));
-        assert_eq!(resolve_simple(&e, &[]).eval(&[]), Value::Bool(true));
+        assert_eq!(eval_const(&e), Value::Bool(true));
         let e = bin(BinOp::Lt, lit(5i32), lit(5.5f64));
-        assert_eq!(resolve_simple(&e, &[]).eval(&[]), Value::Bool(true));
+        assert_eq!(eval_const(&e), Value::Bool(true));
     }
 
     #[test]
@@ -909,7 +857,7 @@ mod tests {
             lhs: Box::new(Expr::Literal(Value::Null)),
             rhs: Box::new(lit(1i64)),
         };
-        assert_eq!(resolve_simple(&e, &[]).eval(&[]), Value::Bool(false));
+        assert_eq!(eval_const(&e), Value::Bool(false));
     }
 
     #[test]
@@ -920,9 +868,9 @@ mod tests {
             lit(false),
             bin(BinOp::Eq, bin(BinOp::Div, lit(1i64), lit(0i64)), lit(1i64)),
         );
-        assert_eq!(resolve_simple(&e, &[]).eval(&[]), Value::Bool(false));
+        assert_eq!(eval_const(&e), Value::Bool(false));
         let e = bin(BinOp::Or, lit(true), lit(false));
-        assert_eq!(resolve_simple(&e, &[]).eval(&[]), Value::Bool(true));
+        assert_eq!(eval_const(&e), Value::Bool(true));
     }
 
     #[test]
@@ -933,8 +881,8 @@ mod tests {
             lit(1.0f64),
         );
         let r = resolve_simple(&e, &["exchange_id", "bid_price"]);
-        assert!(r.eval_bool(&[Value::Long(1), Value::Double(2.0)]));
-        assert!(!r.eval_bool(&[Value::Long(1), Value::Double(0.5)]));
+        assert!(r.eval_bool(&row_slots(&[Value::Long(1), Value::Double(2.0)])));
+        assert!(!r.eval_bool(&row_slots(&[Value::Long(1), Value::Double(0.5)])));
     }
 
     #[test]
@@ -954,13 +902,13 @@ mod tests {
             list: vec![Value::Long(1), Value::Long(3)],
             negated: false,
         };
-        assert_eq!(resolve_simple(&e, &[]).eval(&[]), Value::Bool(true));
+        assert_eq!(eval_const(&e), Value::Bool(true));
         let e = Expr::InList {
             expr: Box::new(lit(3i64)),
             list: vec![Value::Long(1)],
             negated: true,
         };
-        assert_eq!(resolve_simple(&e, &[]).eval(&[]), Value::Bool(true));
+        assert_eq!(eval_const(&e), Value::Bool(true));
     }
 
     #[test]
@@ -969,39 +917,31 @@ mod tests {
             expr: Box::new(Expr::Literal(Value::Null)),
             negated: false,
         };
-        assert_eq!(resolve_simple(&e, &[]).eval(&[]), Value::Bool(true));
+        assert_eq!(eval_const(&e), Value::Bool(true));
         let e = Expr::IsNull {
             expr: Box::new(lit(1i64)),
             negated: true,
         };
-        assert_eq!(resolve_simple(&e, &[]).eval(&[]), Value::Bool(true));
+        assert_eq!(eval_const(&e), Value::Bool(true));
     }
 
     #[test]
     fn string_functions() {
         let call = |f, args| Expr::Call { func: f, args };
         assert_eq!(
-            resolve_simple(&call(ScalarFn::Lower, vec![lit("ABC")]), &[]).eval(&[]),
+            eval_const(&call(ScalarFn::Lower, vec![lit("ABC")])),
             Value::Str("abc".into())
         );
         assert_eq!(
-            resolve_simple(&call(ScalarFn::Length, vec![lit("abc")]), &[]).eval(&[]),
+            eval_const(&call(ScalarFn::Length, vec![lit("abc")])),
             Value::Long(3)
         );
         assert_eq!(
-            resolve_simple(
-                &call(ScalarFn::Contains, vec![lit("hello"), lit("ell")]),
-                &[]
-            )
-            .eval(&[]),
+            eval_const(&call(ScalarFn::Contains, vec![lit("hello"), lit("ell")])),
             Value::Bool(true)
         );
         assert_eq!(
-            resolve_simple(
-                &call(ScalarFn::StartsWith, vec![lit("hello"), lit("he")]),
-                &[]
-            )
-            .eval(&[]),
+            eval_const(&call(ScalarFn::StartsWith, vec![lit("hello"), lit("he")])),
             Value::Bool(true)
         );
     }
@@ -1010,15 +950,15 @@ mod tests {
     fn math_functions_domain_errors_are_null() {
         let call = |f, args| Expr::Call { func: f, args };
         assert_eq!(
-            resolve_simple(&call(ScalarFn::Log, vec![lit(-1.0f64)]), &[]).eval(&[]),
+            eval_const(&call(ScalarFn::Log, vec![lit(-1.0f64)])),
             Value::Null
         );
         assert_eq!(
-            resolve_simple(&call(ScalarFn::Sqrt, vec![lit(-1.0f64)]), &[]).eval(&[]),
+            eval_const(&call(ScalarFn::Sqrt, vec![lit(-1.0f64)])),
             Value::Null
         );
         assert_eq!(
-            resolve_simple(&call(ScalarFn::Log10, vec![lit(100.0f64)]), &[]).eval(&[]),
+            eval_const(&call(ScalarFn::Log10, vec![lit(100.0f64)])),
             Value::Double(2.0)
         );
     }
@@ -1108,6 +1048,9 @@ mod tests {
     #[test]
     fn missing_slot_evaluates_to_null() {
         let r = ResolvedExpr::Input(5);
-        assert_eq!(r.eval(&[Value::Int(1)]), Value::Null);
+        assert_eq!(
+            r.eval(&row_slots(&[Value::Int(1)])).into_owned(),
+            Value::Null
+        );
     }
 }

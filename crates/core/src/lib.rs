@@ -46,6 +46,7 @@ pub mod encode;
 pub mod error;
 pub mod event;
 pub mod expr;
+pub mod kernel;
 pub mod plan;
 pub mod ql;
 pub mod schema;

@@ -1178,13 +1178,15 @@ mod tests {
         let r = e
             .resolve(&crate::expr::SlotBinder::new())
             .unwrap()
-            .eval(&[]);
+            .eval(&crate::expr::row_slots(&[]))
+            .into_owned();
         assert_eq!(r, Value::Long(7));
         let e = parse_expr("(1 + 2) * 3").unwrap();
         let r = e
             .resolve(&crate::expr::SlotBinder::new())
             .unwrap()
-            .eval(&[]);
+            .eval(&crate::expr::row_slots(&[]))
+            .into_owned();
         assert_eq!(r, Value::Long(9));
     }
 
