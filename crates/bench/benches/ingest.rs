@@ -31,6 +31,17 @@ fn registry() -> SchemaRegistry {
         EventSchema::new("impression", vec![FieldDef::new("cost", FieldType::Double)]).unwrap(),
     )
     .unwrap();
+    reg.register(
+        EventSchema::new(
+            "exclusion",
+            vec![
+                FieldDef::new("line_item_id", FieldType::Long),
+                FieldDef::new("reason", FieldType::Str),
+            ],
+        )
+        .unwrap(),
+    )
+    .unwrap();
     reg
 }
 
@@ -101,6 +112,44 @@ fn imp_batch(n: u64, format: WireFormat) -> EventBatch {
     }
 }
 
+/// Events per columnar frame in the `col_group_*` benches (the agent's
+/// default flush size).
+const FRAME_EVENTS: u64 = 256;
+
+/// `frames` columnar frames of `FRAME_EVENTS` events each, built by `ev`
+/// from the event's global index, all inside one 10 s window.
+fn col_frames(type_id: u32, frames: u64, ev: impl Fn(u64) -> Vec<Value>) -> Vec<EventBatch> {
+    (0..frames)
+        .map(|f| {
+            let events = (f * FRAME_EVENTS..(f + 1) * FRAME_EVENTS)
+                .map(|i| {
+                    Event::new(
+                        EventTypeId(type_id),
+                        RequestId(i),
+                        (i % 10_000) as i64,
+                        ev(i),
+                    )
+                })
+                .collect();
+            EventBatch {
+                seq: f,
+                attempt: 0,
+                query_id: QueryId(1),
+                type_id: EventTypeId(type_id),
+                host: "h".into(),
+                payload: BatchPayload::from_events(events, WireFormat::Columnar),
+                matched: FRAME_EVENTS,
+                sampled: FRAME_EVENTS,
+                shed: 0,
+                budget_shed: 0,
+                seen: FRAME_EVENTS,
+                bytes: 0,
+                spans: vec![],
+            }
+        })
+        .collect()
+}
+
 fn bench_ingest(c: &mut Criterion) {
     const N: u64 = 10_000;
     let agg_src = "select bid.user_id, COUNT(*), AVG(bid.price) from bid \
@@ -168,6 +217,54 @@ fn bench_ingest(c: &mut Criterion) {
             b.iter_batched(
                 || (PartitionedExecutor::new(p.clone(), 0, 1), bid_batch(N, fmt)),
                 |(mut exec, batch)| exec.ingest(batch),
+                BatchSize::SmallInput,
+            )
+        });
+    }
+
+    // The column fold kernel on its own (inline, ingest only, 40 frames
+    // of 256 events): a (long, string)-keyed COUNT with ~200 groups, and
+    // a high-cardinality long key with SUM/AVG (almost every event its
+    // own group).
+    const FRAMES: u64 = 40;
+    g.throughput(Throughput::Elements(FRAMES * FRAME_EVENTS));
+    let reasons = ["budget", "frequency_cap", "geo", "pacing"];
+    let long_str = col_frames(2, FRAMES, |i| {
+        vec![
+            Value::Long(((i * 7) % 50) as i64),
+            Value::Str(reasons[(i % 4) as usize].into()),
+        ]
+    });
+    let user_sum_avg = col_frames(0, FRAMES, |i| {
+        vec![
+            Value::Long(((i * 7919) % 100_003) as i64),
+            Value::Double((i % 97) as f64 * 0.25),
+        ]
+    });
+    for (name, src, frames) in [
+        (
+            "col_group_long_str",
+            "select exclusion.line_item_id, exclusion.reason, COUNT(*) from exclusion \
+             group by exclusion.line_item_id, exclusion.reason window 10 s",
+            &long_str,
+        ),
+        (
+            "col_group_user_sum_avg",
+            "select bid.user_id, SUM(bid.price), AVG(bid.price) from bid \
+             group by bid.user_id window 10 s",
+            &user_sum_avg,
+        ),
+    ] {
+        g.bench_function(name, |b| {
+            let p = plan(src);
+            b.iter_batched(
+                || (PartitionedExecutor::new(p.clone(), 0, 1), frames.clone()),
+                |(mut exec, frames)| {
+                    for f in frames {
+                        exec.ingest(f);
+                    }
+                    exec
+                },
                 BatchSize::SmallInput,
             )
         });

@@ -4,7 +4,6 @@
 //! Hosts only selected/projected/sampled; everything here is the expensive
 //! part of the query, deliberately placed off the application hosts.
 
-use std::borrow::Cow;
 use std::collections::{BTreeMap, HashMap};
 use std::sync::Arc;
 use std::time::Instant;
@@ -19,6 +18,7 @@ use scrub_obs::{OperatorStats, PlanProfile};
 use scrub_sketch::{estimate_total, HostSample, Welford};
 
 use crate::agg::AggState;
+use crate::fold::{fold_into_group, FoldKernel, FoldScratch};
 use crate::row::{QuerySummary, ResultRow};
 use crate::totals::{HostId, TotalsTracker};
 
@@ -95,7 +95,7 @@ pub struct GroupState {
 enum WindowState {
     /// Single-input aggregate mode: aggregated eagerly, memory O(groups).
     /// The map is bounded at `CentralPlan::max_groups` by keeping the
-    /// smallest group keys (see [`update_groups`]); `overflow_rows`
+    /// smallest group keys (see [`fold_into_group`]); `overflow_rows`
     /// counts the rows this window dropped to stay under the cap.
     Eager {
         groups: BTreeMap<Vec<GroupKey>, GroupState>,
@@ -244,6 +244,12 @@ pub struct QueryExecutor {
     host_moments: HashMap<HostId, Vec<Welford>>,
     /// Hot-path scratch buffers, reused across events.
     scratch: EventScratch,
+    /// The plan's typed column fold kernel (single-input aggregate plans
+    /// only; join and stream plans take the row path).
+    kernel: Option<Arc<FoldKernel>>,
+    /// Selection and bucketing buffers of the column path, reused across
+    /// chunks.
+    fold_scratch: FoldScratch,
     stream_out: Vec<ResultRow>,
     windows_emitted: u64,
     /// Join rows dropped by the cross-product cap.
@@ -271,8 +277,11 @@ impl QueryExecutor {
     /// or a shared `Arc<CentralPlan>` (partitions of one query share the
     /// compiled plan instead of cloning it).
     pub fn new(plan: impl Into<Arc<CentralPlan>>, grace_ms: i64) -> Self {
+        let plan: Arc<CentralPlan> = plan.into();
         QueryExecutor {
-            plan: plan.into(),
+            kernel: FoldKernel::compile(&plan).map(Arc::new),
+            fold_scratch: FoldScratch::default(),
+            plan,
             grace_ms,
             windows: BTreeMap::new(),
             totals: TotalsTracker::default(),
@@ -412,24 +421,26 @@ impl QueryExecutor {
 
     /// Ingest a columnar frame. Single-input aggregate plans consume the
     /// column slices directly — no per-event `Event` materialisation, the
-    /// late-window selection reads only the timestamp column, and the
-    /// residual/group passes fetch just the slots their expressions
-    /// reference. Join and stream plans (and any decode failure, which
+    /// late-window selection reads only the timestamp column, the residual
+    /// pass fetches just the slots its expression references, and the fold
+    /// pass runs the plan's [`FoldKernel`]. Join and stream plans (and any decode failure, which
     /// in-process frames cannot hit) fall back to materialised rows and
     /// the v1 loop, so their buffering/emission semantics are untouched.
     fn ingest_columnar(&mut self, hid: HostId, frame: &ColumnarFrame) {
-        let vectorize = !self.is_join() && matches!(self.plan.mode, OutputMode::Aggregate { .. });
         let t0 = Instant::now();
-        let decoded = if vectorize { frame.decode().ok() } else { None };
+        let kernel = self.kernel.clone();
+        let decoded = kernel
+            .as_ref()
+            .and_then(|k| Some((k, frame.decode().ok()?)));
         match decoded {
-            Some(batch) => {
+            Some((kernel, batch)) => {
                 let inner_before = self.inner_op_ns();
                 let eligible = self.estimator_eligible();
-                let mut scratch = std::mem::take(&mut self.scratch);
+                let mut scratch = std::mem::take(&mut self.fold_scratch);
                 for chunk in &batch.chunks {
-                    self.ingest_chunk(hid, chunk, eligible, &mut scratch);
+                    self.ingest_chunk(hid, chunk, kernel, eligible, &mut scratch);
                 }
-                self.scratch = scratch;
+                self.fold_scratch = scratch;
                 let inner_spent = self.inner_op_ns().saturating_sub(inner_before);
                 self.opc.decode_ns += (t0.elapsed().as_nanos() as u64).saturating_sub(inner_spent);
             }
@@ -450,78 +461,40 @@ impl QueryExecutor {
     /// counter (`decode_rows_*`, `residual_rows_*`, `group_rows_in`,
     /// `late_events_dropped`, group/overflow state, estimator moments) is
     /// bit-identical to feeding the same events through
-    /// [`QueryExecutor::ingest_events`].
+    /// [`QueryExecutor::ingest_events`]; the fold pass runs the plan's
+    /// [`FoldKernel`] (see `fold.rs` for why bucketing keeps it so).
     fn ingest_chunk(
         &mut self,
         hid: HostId,
         chunk: &ColumnChunk,
+        kernel: &FoldKernel,
         eligible: bool,
-        scratch: &mut EventScratch,
+        scratch: &mut FoldScratch,
     ) {
         let n = chunk.len();
         self.opc.decode_rows_in += n as u64;
-        let Some(input_idx) = self.plan.input_index(chunk.type_id) else {
+        if self.plan.input_index(chunk.type_id).is_none() {
             return; // not part of this query
-        };
-        let plan = Arc::clone(&self.plan);
-        let input = &plan.inputs[input_idx];
-        let off = input.block_offset;
-        let nfields = input.fields.len();
-        let rid_slot = off + nfields;
-        let ts_slot = rid_slot + 1;
-        // Slot accessor mirroring `fill_block`: projected columns first,
-        // then the request-id and timestamp slots; out-of-block slots and
-        // short chunks (arity < plan fields) read Null, extra trailing
-        // columns are ignored — exactly the row builder's semantics.
-        let col_fetch = |i: usize, slot: usize| -> Cow<'static, Value> {
-            Cow::Owned(if slot >= off && slot < rid_slot {
-                match chunk.columns.get(slot - off) {
-                    Some(col) => col.value_at(i),
-                    None => Value::Null,
-                }
-            } else if slot == rid_slot {
-                Value::Long(chunk.request_ids[i] as i64)
-            } else if slot == ts_slot {
-                Value::DateTime(chunk.timestamps[i])
-            } else {
-                Value::Null
-            })
-        };
-        let OutputMode::Aggregate {
-            group_by,
-            aggregates,
-            ..
-        } = &plan.mode
-        else {
-            unreachable!("columnar vectorization is aggregate-only");
-        };
+        }
+        let mut bound = kernel.bind(chunk);
 
         // Estimator moments fold every arriving event of this input —
         // before late-window filtering, same as the row path.
         if eligible {
+            let aggs = bound.aggregates();
             let moments = self
                 .host_moments
                 .entry(hid)
-                .or_insert_with(|| vec![Welford::new(); aggregates.len()]);
-            for i in 0..n {
-                let fetch = |slot: usize| col_fetch(i, slot);
-                for (j, agg) in aggregates.iter().enumerate() {
-                    let v = match &agg.arg {
-                        Some(a) => a.eval(&fetch).as_f64(),
-                        None => Some(1.0), // COUNT(*)
-                    };
-                    if let Some(x) = v {
-                        moments[j].add(x);
-                    }
-                }
-            }
+                .or_insert_with(|| vec![Welford::new(); aggs]);
+            bound.add_moments(n, moments);
         }
 
         // Selection pass over the timestamp column alone: surviving events
         // record their covering window starts in a flat arena.
         let closed = self.closed_before_ms;
-        let mut wins: Vec<i64> = Vec::with_capacity(n);
-        let mut sel: Vec<(u32, u32, u32)> = Vec::with_capacity(n);
+        let (wins, sel) = (&mut scratch.wins, &mut scratch.sel);
+        wins.clear();
+        sel.clear();
         for (i, &ts) in chunk.timestamps.iter().enumerate() {
             let lo = wins.len() as u32;
             wins.extend(self.covered_windows(ts).filter(|w| *w >= closed));
@@ -536,50 +509,46 @@ impl QueryExecutor {
 
         // Residual pass: one per-column evaluation per surviving event,
         // shrinking the selection in place.
-        if let Some(res) = &plan.residual {
+        if let Some(res) = &self.plan.residual {
             let t_res = Instant::now();
-            sel.retain(|&(i, _, _)| {
-                self.opc.residual_rows_in += 1;
-                let fetch = |slot: usize| col_fetch(i as usize, slot);
-                let pass = res.eval_bool(&fetch);
-                if pass {
-                    self.opc.residual_rows_out += 1;
-                }
-                pass
-            });
+            let slots = bound.slots();
+            let before = sel.len() as u64;
+            sel.retain(|&(i, _, _)| res.eval_bool(&|slot| slots.fetch(i as usize, slot)));
+            self.opc.residual_rows_in += before;
+            self.opc.residual_rows_out += sel.len() as u64;
             self.opc.residual_ns += t_res.elapsed().as_nanos() as u64;
         }
 
-        // Fold pass: group state folds straight off the columns.
+        // Fold pass: bucket the surviving (row, window) pairs by (window,
+        // typed key), then one group lookup and one fold per bucket.
         let t_fold = Instant::now();
+        let plan = Arc::clone(&self.plan);
         let cap = plan.max_groups.max(1);
-        for &(i, lo, hi) in &sel {
-            let fetch = |slot: usize| col_fetch(i as usize, slot);
-            for &w in &wins[lo as usize..hi as usize] {
-                let state = self.windows.entry(w).or_insert_with(|| WindowState::Eager {
-                    groups: BTreeMap::new(),
-                    overflow_rows: 0,
-                });
-                let WindowState::Eager {
-                    groups,
-                    overflow_rows,
-                } = state
-                else {
-                    unreachable!("single-input aggregate plans are eager");
-                };
-                self.opc.group_rows_in += 1;
-                let dropped = update_groups_with(
-                    groups,
-                    cap,
-                    group_by,
-                    aggregates,
-                    &|e| e.eval(&fetch).into_owned(),
-                    &mut scratch.keys,
-                    &mut scratch.key_vals,
-                );
-                *overflow_rows += dropped;
-                self.groups_overflow += dropped;
-            }
+        let OutputMode::Aggregate { aggregates, .. } = &plan.mode else {
+            unreachable!("fold kernels are aggregate-only");
+        };
+        self.opc.group_rows_in += sel.iter().map(|&(_, lo, hi)| (hi - lo) as u64).sum::<u64>();
+        let buckets = scratch.bucket(&mut bound);
+        for b in 0..buckets {
+            let state =
+                self.windows
+                    .entry(scratch.window(b))
+                    .or_insert_with(|| WindowState::Eager {
+                        groups: BTreeMap::new(),
+                        overflow_rows: 0,
+                    });
+            let WindowState::Eager {
+                groups,
+                overflow_rows,
+            } = state
+            else {
+                unreachable!("single-input aggregate plans are eager");
+            };
+            let dropped = bound.fold_bucket(scratch, b, groups, cap, || {
+                aggregates.iter().map(AggState::new).collect()
+            });
+            *overflow_rows += dropped;
+            self.groups_overflow += dropped;
         }
         self.opc.group_ns += t_fold.elapsed().as_nanos() as u64;
     }
@@ -1106,24 +1075,15 @@ fn mode_ref(mode: &OutputMode) -> OutputModeRef<'_> {
     }
 }
 
-/// Fold one row into the group map, holding it to at most `cap` groups.
-/// Returns the number of rows dropped by the bound (0 when the row was
-/// folded without evicting anything).
-///
-/// The overflow policy keeps the `cap` *smallest* group keys: a new key
-/// larger than the current maximum is rejected outright (its row is
-/// dropped), and a new key smaller than the maximum evicts the largest
-/// group (all rows already folded into it count as dropped). The policy
-/// is deterministic in the key values alone — arrival order never
-/// matters, and a key's rank in any subset of the keys is at most its
-/// global rank, so the kept set and the *total* dropped-row count are
-/// identical whether the rows pass through one executor or are split
-/// across N partitions and re-capped at the merge.
+/// Fold one row into the group map, holding it to at most `cap` groups
+/// (the keep-smallest-keys policy of [`fold_into_group`]). Returns the
+/// number of rows dropped by the bound (0 when the row was folded without
+/// evicting anything).
 ///
 /// `keys`/`key_vals` are caller-owned scratch: the group key is built
 /// into them and only cloned into the map when a *new* group appears, so
 /// the steady state (existing groups — single-key group-bys especially)
-/// allocates nothing for the key.
+/// allocates nothing for the key and walks the map once.
 fn update_groups(
     groups: &mut BTreeMap<Vec<GroupKey>, GroupState>,
     cap: usize,
@@ -1133,29 +1093,7 @@ fn update_groups(
     keys: &mut Vec<GroupKey>,
     key_vals: &mut Vec<Value>,
 ) -> u64 {
-    update_groups_with(
-        groups,
-        cap,
-        group_by,
-        aggregates,
-        &|e| e.eval(&row_slots(row)).into_owned(),
-        keys,
-        key_vals,
-    )
-}
-
-/// [`update_groups`] behind an expression evaluator instead of a
-/// materialised row — the columnar fold pass plugs in a column-slot
-/// accessor here and skips row building entirely.
-fn update_groups_with(
-    groups: &mut BTreeMap<Vec<GroupKey>, GroupState>,
-    cap: usize,
-    group_by: &[ResolvedExpr],
-    aggregates: &[scrub_core::plan::AggSpec],
-    eval: &dyn Fn(&ResolvedExpr) -> Value,
-    keys: &mut Vec<GroupKey>,
-    key_vals: &mut Vec<Value>,
-) -> u64 {
+    let eval = |e: &ResolvedExpr| e.eval(&row_slots(row)).into_owned();
     keys.clear();
     key_vals.clear();
     for g in group_by {
@@ -1163,40 +1101,23 @@ fn update_groups_with(
         keys.push(v.group_key());
         key_vals.push(v);
     }
-    let mut dropped = 0u64;
-    // Lookup borrows the scratch as a slice (`Vec<GroupKey>: Borrow<[GroupKey]>`).
-    if !groups.contains_key(keys.as_slice()) {
-        if groups.len() >= cap {
-            let new_is_largest = groups
-                .last_key_value()
-                .map(|(k, _)| k.as_slice() < keys.as_slice())
-                .unwrap_or(false);
-            if new_is_largest || cap == 0 {
-                // the new key ranks past the cap — drop this row
-                return 1;
+    fold_into_group(
+        groups,
+        cap,
+        keys,
+        1,
+        || GroupState {
+            keys: key_vals.clone(),
+            aggs: aggregates.iter().map(AggState::new).collect(),
+            rows: 0,
+        },
+        |group| {
+            group.rows += 1;
+            for (state, agg) in group.aggs.iter_mut().zip(aggregates) {
+                state.update(agg.arg.as_ref().map(eval).as_ref());
             }
-            // the new key displaces the current largest group
-            let (_, evicted) = groups.pop_last().expect("len >= cap >= 1");
-            dropped += evicted.rows;
-        }
-        groups.insert(
-            keys.clone(),
-            GroupState {
-                keys: key_vals.clone(),
-                aggs: aggregates.iter().map(AggState::new).collect(),
-                rows: 0,
-            },
-        );
-    }
-    let entry = groups
-        .get_mut(keys.as_slice())
-        .expect("group just ensured present");
-    entry.rows += 1;
-    for (i, agg) in aggregates.iter().enumerate() {
-        let v = agg.arg.as_ref().map(eval);
-        entry.aggs[i].update(v.as_ref());
-    }
-    dropped
+        },
+    )
 }
 
 #[cfg(test)]

@@ -18,6 +18,7 @@
 pub mod agg;
 pub mod backend;
 pub mod executor;
+mod fold;
 pub mod partition;
 pub mod row;
 pub mod stats;

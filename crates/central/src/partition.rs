@@ -95,7 +95,7 @@ pub struct PartitionedExecutor {
     /// (carried on closed [`WindowPartial`](crate::WindowPartial)s) plus
     /// the router's own re-cap of the merged group set.
     /// Partition-count invariant — see
-    /// [`update_groups`](crate::executor) for the keep-smallest-keys
+    /// `fold::fold_into_group` for the keep-smallest-keys
     /// argument.
     groups_overflow: u64,
     /// Advance calls that paid the backend barrier / were answered from

@@ -50,7 +50,7 @@ pub struct ExecutorStats {
     /// Batches discarded as duplicate (host, query, seq) retransmissions.
     pub duplicate_batches: u64,
     /// Rows dropped by the `max_groups` bound, including router re-cap
-    /// drops. Partition-invariant (see `update_groups`).
+    /// drops. Partition-invariant (see `fold::fold_into_group`).
     pub groups_overflow: u64,
     /// Windows that produced at least one result row (counted once at the
     /// router, so partition-invariant).

@@ -11,7 +11,7 @@
 //! * **Whole-batch hand-off.** Non-join plans hand each `EventBatch` to
 //!   one partition, round-robin — no split, no header replication, no
 //!   per-event hashing. The group-state merge makes any row partitioning
-//!   equivalent (see `update_groups`), so batch granularity is free.
+//!   equivalent (see `fold::fold_into_group`), so batch granularity is free.
 //!   Join plans still split by request id (the equi-join must stay
 //!   partition-local), but only non-empty shards are sent.
 //! * **Router-authoritative totals.** The router observes every batch

@@ -34,7 +34,7 @@
 
 use std::collections::HashMap;
 
-use bytes::{Buf, BufMut, Bytes, BytesMut};
+use bytes::{Buf, BufMut, BytesMut};
 use serde::{Deserialize, Serialize};
 
 use crate::encode::{get_string, get_value, get_varint, put_value, put_varint, unzigzag, zigzag};
@@ -94,7 +94,7 @@ impl ColumnarFrame {
         });
         let empty = events.is_empty();
         ColumnarFrame {
-            bytes: buf.as_ref().to_vec(),
+            bytes: buf.into(),
             count: events.len() as u32,
             ts_min: if empty { 0 } else { ts_min },
             ts_max: if empty { 0 } else { ts_max },
@@ -120,10 +120,10 @@ impl ColumnarFrame {
         }
     }
 
-    /// Decode the frame into full-length typed columns.
+    /// Decode the frame into full-length typed columns, reading the
+    /// frame's own bytes in place.
     pub fn decode(&self) -> ScrubResult<ColumnarBatch> {
-        let body = strip_header(&self.bytes)?;
-        decode_columnar_body(body)
+        decode_columnar_body(strip_header(&self.bytes)?)
     }
 
     /// Materialise the frame back into row events (appended to `out`).
@@ -146,11 +146,18 @@ impl ColumnarFrame {
     }
 }
 
-fn strip_header(frame: &[u8]) -> ScrubResult<Bytes> {
+fn strip_header(frame: &[u8]) -> ScrubResult<&[u8]> {
     if frame.len() < 2 || frame[0] != 0x00 || frame[1] != FORMAT_COLUMNAR {
         return Err(ScrubError::Decode("not a columnar frame".into()));
     }
-    Ok(Bytes::copy_from_slice(&frame[2..]))
+    Ok(&frame[2..])
+}
+
+/// Split the next `len` bytes off `buf` (the caller checked `len`).
+fn split_to<'a>(buf: &mut &'a [u8], len: usize) -> &'a [u8] {
+    let (head, tail) = buf.split_at(len);
+    *buf = tail;
+    head
 }
 
 /// A decoded columnar batch: one [`ColumnChunk`] per maximal run of
@@ -455,7 +462,7 @@ fn encode_column(buf: &mut BytesMut, scratch: &mut BytesMut, chunk: &[Event], co
 /// Decode a columnar frame *body* (header already stripped). Total in the
 /// face of arbitrary bytes: every length is validated against the buffer
 /// before allocation, mirroring the row decoder's guarantees.
-pub(crate) fn decode_columnar_body(mut buf: Bytes) -> ScrubResult<ColumnarBatch> {
+pub(crate) fn decode_columnar_body(mut buf: &[u8]) -> ScrubResult<ColumnarBatch> {
     let total = get_varint(&mut buf)? as usize;
     if total > MAX_BATCH_EVENTS {
         return Err(ScrubError::Decode("implausible batch size".into()));
@@ -503,12 +510,12 @@ pub(crate) fn decode_columnar_body(mut buf: Bytes) -> ScrubResult<ColumnarBatch>
     Ok(ColumnarBatch { chunks })
 }
 
-fn get_bitmap(buf: &mut Bytes, n: usize) -> ScrubResult<Vec<bool>> {
+fn get_bitmap(buf: &mut &[u8], n: usize) -> ScrubResult<Vec<bool>> {
     let nbytes = n.div_ceil(8);
     if buf.remaining() < nbytes {
         return Err(ScrubError::Decode("truncated bitmap".into()));
     }
-    let raw = buf.split_to(nbytes);
+    let raw = split_to(buf, nbytes);
     Ok((0..n).map(|i| raw[i / 8] & (1 << (i % 8)) != 0).collect())
 }
 
@@ -545,7 +552,7 @@ fn expand<T: Clone>(
     }
 }
 
-fn decode_column(buf: &mut Bytes, n: usize) -> ScrubResult<Column> {
+fn decode_column(buf: &mut &[u8], n: usize) -> ScrubResult<Column> {
     if !buf.has_remaining() {
         return Err(ScrubError::Decode("truncated column tag".into()));
     }
@@ -554,7 +561,7 @@ fn decode_column(buf: &mut Bytes, n: usize) -> ScrubResult<Column> {
     if buf.remaining() < body_len {
         return Err(ScrubError::Decode("truncated column body".into()));
     }
-    let mut body = buf.split_to(body_len);
+    let mut body = split_to(buf, body_len);
     let base = tag & !COL_NULLABLE;
     let validity = if tag & COL_NULLABLE != 0 {
         if base == COL_NULL || base == COL_MIXED {
@@ -657,7 +664,7 @@ fn decode_column(buf: &mut Bytes, n: usize) -> ScrubResult<Column> {
 
 /// Visit `(request_id, timestamp)` per event without decoding columns
 /// (their length prefixes let us skip the bodies entirely).
-pub(crate) fn scan_meta(mut buf: Bytes, f: &mut dyn FnMut(u64, i64)) -> ScrubResult<()> {
+pub(crate) fn scan_meta(mut buf: &[u8], f: &mut dyn FnMut(u64, i64)) -> ScrubResult<()> {
     let total = get_varint(&mut buf)? as usize;
     if total > MAX_BATCH_EVENTS {
         return Err(ScrubError::Decode("implausible batch size".into()));
@@ -891,9 +898,8 @@ mod tests {
         let events = vec![ev(0, 1, 2, vec![Value::Long(3), Value::Str("abc".into())])];
         let frame = ColumnarFrame::from_events(&events);
         for cut in 2..frame.bytes.len() {
-            let partial = Bytes::copy_from_slice(&frame.bytes[2..cut]);
             assert!(
-                decode_columnar_body(partial).is_err(),
+                decode_columnar_body(&frame.bytes[2..cut]).is_err(),
                 "prefix {cut} decoded"
             );
         }
@@ -901,7 +907,6 @@ mod tests {
         let mut mutated = frame.bytes.clone();
         let last = mutated.len() - 1;
         mutated[last] = 0x7f;
-        let body = Bytes::copy_from_slice(&mutated[2..]);
-        assert!(decode_columnar_body(body).is_err());
+        assert!(decode_columnar_body(&mutated[2..]).is_err());
     }
 }

@@ -59,7 +59,7 @@ pub(crate) fn put_varint(buf: &mut BytesMut, mut v: u64) {
 }
 
 /// Read a LEB128 varint.
-pub(crate) fn get_varint(buf: &mut Bytes) -> ScrubResult<u64> {
+pub(crate) fn get_varint(buf: &mut impl Buf) -> ScrubResult<u64> {
     let mut v = 0u64;
     let mut shift = 0u32;
     loop {
@@ -127,16 +127,21 @@ pub(crate) fn put_value(buf: &mut BytesMut, v: &Value) {
     }
 }
 
-pub(crate) fn get_string(buf: &mut Bytes) -> ScrubResult<String> {
+pub(crate) fn get_string(buf: &mut impl Buf) -> ScrubResult<String> {
     let len = get_varint(buf)? as usize;
     if buf.remaining() < len {
         return Err(ScrubError::Decode("truncated string".into()));
     }
-    let raw = buf.split_to(len);
-    String::from_utf8(raw.to_vec()).map_err(|_| ScrubError::Decode("invalid utf-8".into()))
+    // every reader here (`Bytes`, `&[u8]`) is contiguous, so the chunk
+    // holds all `len` bytes
+    let s = std::str::from_utf8(&buf.chunk()[..len])
+        .map_err(|_| ScrubError::Decode("invalid utf-8".into()))?
+        .to_owned();
+    buf.advance(len);
+    Ok(s)
 }
 
-pub(crate) fn get_value(buf: &mut Bytes, depth: u32) -> ScrubResult<Value> {
+pub(crate) fn get_value(buf: &mut impl Buf, depth: u32) -> ScrubResult<Value> {
     if depth > 16 {
         return Err(ScrubError::Decode("value nesting too deep".into()));
     }
@@ -288,7 +293,7 @@ pub fn decode_batch_into(mut buf: Bytes, out: &mut Vec<Event>) -> ScrubResult<()
         return match format {
             FORMAT_ROW => decode_row_body(buf, out),
             FORMAT_COLUMNAR => {
-                let batch = columnar::decode_columnar_body(buf)?;
+                let batch = columnar::decode_columnar_body(&buf)?;
                 out.reserve(batch.event_count().min(4096));
                 batch.push_events(out);
                 Ok(())
